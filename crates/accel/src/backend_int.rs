@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 ///
 /// Without it, every image re-encodes every layer weight from FP32 *and*
 /// re-decodes it inside every GEMM. With it, each weight site is encoded
-/// once, its pre-shifted `i16` panel is built once
+/// once, together with its pre-shifted `i16` panel
 /// ([`QubTensor::preshifted`]), and every subsequent image reuses both —
 /// the software analogue of weights living on-chip in the paper's
 /// accelerator. Clone the [`Arc`] into each worker's backend to share the
@@ -82,9 +82,9 @@ impl WeightQubCache {
         Ok(cache)
     }
 
-    /// Returns the encoded weight for `site`, encoding (and pre-decoding
-    /// the packed panel) on first use. The lock is held across the encode
-    /// so concurrent workers never duplicate the work.
+    /// Returns the encoded weight for `site`, encoding it (bytes and packed
+    /// panel) on first use. The lock is held across the encode so
+    /// concurrent workers never duplicate the work.
     fn get_or_encode(&self, site: OpSite, params: QuqParams, w: &Tensor) -> Arc<QubTensor> {
         let mut entries = self.entries();
         if let Some(hit) = entries.get(&site) {
@@ -92,9 +92,7 @@ impl WeightQubCache {
             return Arc::clone(hit);
         }
         quq_obs::add("cache.weight_qub.miss", 1);
-        let qw = QubCodec::new(params).encode_tensor(w);
-        qw.preshifted();
-        let qw = Arc::new(qw);
+        let qw = Arc::new(QubCodec::new(params).encode_tensor(w));
         entries.insert(site, Arc::clone(&qw));
         qw
     }
@@ -152,12 +150,10 @@ impl<'a> IntegerBackend<'a> {
 
     /// SFU load path: quantizes a float tensor to `(integers, scale)` where
     /// value ≈ integer × scale — exactly what [`crate::sim::Qua::sfu_load`]
-    /// produces from a QUB stream.
+    /// produces from a QUB stream, encoded straight to the integers.
     fn sfu_quantize(&self, site: OpSite, operand: Operand, x: &Tensor) -> Result<(IntTensor, f32)> {
-        let params = self.act_params(site, operand)?;
-        let codec = QubCodec::new(params);
-        let qt = codec.encode_tensor(x);
-        Ok((qt.decode_scaled(), qt.base_delta))
+        let codec = QubCodec::new(self.act_params(site, operand)?);
+        Ok((codec.encode_scaled(x), codec.base_delta()))
     }
 
     /// Integer GEMM `C = A·Bᵀ` over already-encoded QUB operands, returning
@@ -202,7 +198,7 @@ impl Backend for IntegerBackend<'_> {
         let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
         let x2 = x.reshape(&[rows, cols]).map_err(BackendError::from)?;
         let w_src = self.tables.original_weight(&site).unwrap_or(w);
-        // Weights recur image after image: encode + panel-decode once.
+        // Weights recur image after image: encode them once.
         let qw = self.weights.get_or_encode(site, w_params, w_src);
         let qa = QubCodec::new(a_params).encode_tensor(&x2);
         let y = self.int_matmul_nt_qub(&qa, &qw)?;

@@ -143,7 +143,7 @@ impl Qua {
         let scale = a.base_delta * w.base_delta;
         let bytes: Vec<u8> = acc
             .iter()
-            .map(|&s| codec.encode(out_params.quantize(s as f32 * scale)))
+            .map(|&s| codec.quantize(s as f32 * scale))
             .collect();
         stats.requants = bytes.len() as u64;
         let out = QubTensor::new(bytes, vec![m, n], codec.fc(), self.bits, codec.base_delta());

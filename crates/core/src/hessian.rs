@@ -62,7 +62,8 @@ pub fn score_fn(fq: impl Fn(f32) -> f32, samples: &[f32], objective: Objective) 
 
 /// Scores a QUQ candidate on the calibration sample (lower is better).
 pub fn score(params: &QuqParams, samples: &[f32], objective: Objective) -> f64 {
-    score_fn(|x| params.fake_quantize(x), samples, objective)
+    let lanes = params.lanes();
+    score_fn(|x| lanes.fake_quantize(x), samples, objective)
 }
 
 /// The quantile grid explored around the configured `q_init`.

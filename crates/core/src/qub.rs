@@ -17,7 +17,9 @@
 //! decode uses *only* the byte and the FC registers — exactly what the
 //! hardware decoding unit sees.
 
-use crate::scheme::{QuqCode, QuqParams, SpaceLayout};
+use crate::scheme::{LaneQuantizer, QuqCode, QuqParams, SpaceLayout};
+use quq_tensor::linalg::isa::{self, Isa};
+use quq_tensor::linalg::PANEL_K_ALIGN;
 use quq_tensor::{I16Tensor, IntTensor, Tensor};
 use std::sync::{Arc, OnceLock};
 
@@ -139,13 +141,29 @@ impl Decoded {
 pub struct QubCodec {
     params: QuqParams,
     fc: FcRegisters,
+    lanes: LaneQuantizer,
+    /// `2^{n_sh}` per subrange, `[fine, coarse]` × `[neg, pos]`, read from
+    /// the FC registers exactly as [`decode_qub`] reads them.
+    scale: [[f32; 2]; 2],
+    /// `2^p`: the flag bit's weight in a QUB byte.
+    flag: f32,
 }
 
 impl QubCodec {
     /// Builds the codec for a parameter set.
     pub fn new(params: QuqParams) -> Self {
         let fc = FcRegisters::from_params(&params);
-        Self { params, fc }
+        let scale = |reg: u8| {
+            let pow2 = |sh: u8| (1u32 << (sh & 0x7)) as f32;
+            [pow2(reg >> 3), pow2(reg)]
+        };
+        Self {
+            params,
+            fc,
+            lanes: params.lanes(),
+            scale: [scale(fc.fine), scale(fc.coarse)],
+            flag: (1u32 << params.payload_bits()) as f32,
+        }
     }
 
     /// The underlying parameters.
@@ -180,7 +198,7 @@ impl QubCodec {
 
     /// Quantizes a real value straight to its QUB byte.
     pub fn quantize(&self, x: f32) -> u8 {
-        self.encode(self.params.quantize(x))
+        self.encode_element(x).0
     }
 
     /// Reconstructs the real value of a QUB byte.
@@ -188,17 +206,222 @@ impl QubCodec {
         self.decode(qub).scaled() as f32 * self.base_delta()
     }
 
+    /// One element of every encoder: the QUB byte of `x` and its
+    /// pre-shifted integer `D << n_sh` — what [`decode_qub`] and
+    /// [`Decoded::scaled`] return for that byte, computed without it.
+    ///
+    /// Both are formed in `f32`, where every intermediate is an exact
+    /// integer below 2^15: the payload is the code's low `p` bits (`code`
+    /// plus `2^p` when negative), the flag adds `2^p`.
+    #[inline(always)]
+    fn encode_element(&self, x: f32) -> (u8, i32) {
+        let (fine, code) = self.lanes.lane(x);
+        let neg = code < 0.0;
+        let [[fine_neg, fine_pos], [coarse_neg, coarse_pos]] = self.scale;
+        let pow2 = match (fine, neg) {
+            (true, true) => fine_neg,
+            (true, false) => fine_pos,
+            (false, true) => coarse_neg,
+            (false, false) => coarse_pos,
+        };
+        let flag = self.flag;
+        let payload = if neg { code + flag } else { code };
+        let byte = if fine { payload + flag } else { payload };
+        (small_int(byte) as u8, small_int(code * pow2))
+    }
+
     /// Encodes a whole tensor to QUB bytes (row-major, one byte per value).
+    ///
+    /// The same pass emits the pre-shifted `i16` panel
+    /// ([`QubTensor::preshifted`], padded like it) onto the result, so a
+    /// GEMM operand is never decoded back from its bytes.
     pub fn encode_tensor(&self, t: &Tensor) -> QubTensor {
         let _span = quq_obs::span("qub.encode");
-        QubTensor::new(
-            t.data().iter().map(|&x| self.quantize(x)).collect(),
+        let x = t.data();
+        let kernels = EncodeKernels::resolve();
+        let mut bytes = vec![0u8; x.len()];
+        let panel = match *t.shape() {
+            [rows, k] => {
+                let kp = padded_k(k);
+                let mut panel = vec![0i16; rows * kp];
+                for ((x, bytes), panel) in x
+                    .chunks_exact(k.max(1))
+                    .zip(bytes.chunks_exact_mut(k.max(1)))
+                    .zip(panel.chunks_exact_mut(kp.max(1)))
+                {
+                    kernels.bytes_i16(self, x, bytes, &mut panel[..k]);
+                }
+                I16Tensor::from_vec(panel, &[rows, kp])
+            }
+            _ => {
+                let mut panel = vec![0i16; x.len()];
+                kernels.bytes_i16(self, x, &mut bytes, &mut panel);
+                I16Tensor::from_vec(panel, t.shape())
+            }
+        };
+        let qt = QubTensor::new(
+            bytes,
             t.shape().to_vec(),
             self.fc,
             self.params.bits(),
             self.base_delta(),
-        )
+        );
+        let _ = qt.panel.0.set(Arc::new(panel.expect("sized")));
+        qt
     }
+
+    /// Encodes a whole tensor straight to its pre-shifted integers
+    /// `D << n_sh` (units of `Δ_base`) — the SFU load path. Equals
+    /// `encode_tensor(t).decode_scaled()` without the bytes.
+    pub fn encode_scaled(&self, t: &Tensor) -> IntTensor {
+        let _span = quq_obs::span("qub.encode");
+        let mut out = vec![0i32; t.len()];
+        EncodeKernels::resolve().i32(self, t.data(), &mut out);
+        IntTensor::from_vec(out, t.shape()).expect("sized")
+    }
+}
+
+/// An integer-valued `v` with `|v| < 2^22` as `i32`: after adding
+/// 1.5·2^23 the integer sits in the low mantissa bits. Unlike `as i32`,
+/// whose saturation LLVM lowers lane by lane, this stays one vector add and
+/// one integer subtract.
+#[inline(always)]
+fn small_int(v: f32) -> i32 {
+    const SHIFTER: f32 = 12_582_912.0;
+    (v + SHIFTER).to_bits() as i32 - SHIFTER.to_bits() as i32
+}
+
+/// Runs [`QubCodec::encode_element`] over `x`, writing bytes and `i16`
+/// pre-shifted values. Inlined into each per-ISA wrapper below, so one
+/// element function is compiled once per lane width.
+#[inline(always)]
+fn bytes_i16_body(codec: &QubCodec, x: &[f32], bytes: &mut [u8], panel: &mut [i16]) {
+    // A local copy keeps the constants in registers: selects between
+    // fields behind a reference compile to per-lane gathers instead.
+    let codec = *codec;
+    let (bytes, panel) = (&mut bytes[..x.len()], &mut panel[..x.len()]);
+    for i in 0..x.len() {
+        let (b, v) = codec.encode_element(x[i]);
+        bytes[i] = b;
+        panel[i] = v as i16;
+    }
+}
+
+/// Runs [`QubCodec::encode_element`] over `x`, writing `i32` pre-shifted
+/// values only.
+#[inline(always)]
+fn i32_body(codec: &QubCodec, x: &[f32], out: &mut [i32]) {
+    let codec = *codec;
+    let out = &mut out[..x.len()];
+    for i in 0..x.len() {
+        out[i] = codec.encode_element(x[i]).1;
+    }
+}
+
+/// Stamps one ISA's encode wrappers: the shared bodies compiled with that
+/// ISA's target features, so the loop vectorizes to its lane width.
+macro_rules! encode_wrappers {
+    ($name:ident $(, $feat:literal)?) => {
+        mod $name {
+            use super::QubCodec;
+
+            /// # Safety
+            ///
+            /// The host must support this ISA's target features.
+            $(#[target_feature(enable = $feat)])?
+            pub(super) unsafe fn bytes_i16(
+                codec: &QubCodec,
+                x: &[f32],
+                bytes: &mut [u8],
+                panel: &mut [i16],
+            ) {
+                super::bytes_i16_body(codec, x, bytes, panel)
+            }
+
+            /// # Safety
+            ///
+            /// The host must support this ISA's target features.
+            $(#[target_feature(enable = $feat)])?
+            pub(super) unsafe fn i32(codec: &QubCodec, x: &[f32], out: &mut [i32]) {
+                super::i32_body(codec, x, out)
+            }
+        }
+    };
+}
+
+encode_wrappers!(portable);
+#[cfg(target_arch = "x86_64")]
+encode_wrappers!(avx2, "avx2");
+#[cfg(target_arch = "x86_64")]
+encode_wrappers!(avx512, "avx512f,avx512bw");
+#[cfg(target_arch = "aarch64")]
+encode_wrappers!(neon, "neon");
+
+/// The encode loops compiled for one ISA.
+#[derive(Clone, Copy)]
+struct EncodeKernels {
+    bytes_i16: unsafe fn(&QubCodec, &[f32], &mut [u8], &mut [i16]),
+    i32: unsafe fn(&QubCodec, &[f32], &mut [i32]),
+}
+
+impl EncodeKernels {
+    /// The loops for `isa`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host does not support `isa`: the wrappers' target
+    /// features must be present for the calls below to be sound.
+    fn for_isa(isa: Isa) -> Self {
+        assert!(
+            isa::supported().contains(&isa),
+            "{} encode requested on a host without it",
+            isa.name()
+        );
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => Self {
+                bytes_i16: avx2::bytes_i16,
+                i32: avx2::i32,
+            },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 | Isa::Avx512Vnni => Self {
+                bytes_i16: avx512::bytes_i16,
+                i32: avx512::i32,
+            },
+            #[cfg(target_arch = "aarch64")]
+            Isa::Neon => Self {
+                bytes_i16: neon::bytes_i16,
+                i32: neon::i32,
+            },
+            _ => Self {
+                bytes_i16: portable::bytes_i16,
+                i32: portable::i32,
+            },
+        }
+    }
+
+    /// The loops for [`isa::resolve`]: the best supported ISA, or the one
+    /// `QUQ_FORCE_ISA` pins (the same choice the GEMM makes).
+    fn resolve() -> Self {
+        Self::for_isa(isa::resolve())
+    }
+
+    fn bytes_i16(self, codec: &QubCodec, x: &[f32], bytes: &mut [u8], panel: &mut [i16]) {
+        // SAFETY: `for_isa` built these loops only after checking the host
+        // supports their ISA, so their target features are present.
+        unsafe { (self.bytes_i16)(codec, x, bytes, panel) }
+    }
+
+    fn i32(self, codec: &QubCodec, x: &[f32], out: &mut [i32]) {
+        // SAFETY: as in `bytes_i16`.
+        unsafe { (self.i32)(codec, x, out) }
+    }
+}
+
+/// Row stride of a rank-2 pre-shifted panel with `k` logical columns:
+/// `k` rounded up to [`PANEL_K_ALIGN`].
+fn padded_k(k: usize) -> usize {
+    k.div_ceil(PANEL_K_ALIGN.max(1)) * PANEL_K_ALIGN
 }
 
 /// Stateless QUB decode: byte + FC registers + bit-width only (what the
@@ -354,10 +577,11 @@ impl QubTensor {
         I16Tensor::from_vec(data, &self.shape).expect("sized")
     }
 
-    /// The pre-shifted packed panel, decoded at most once per tensor and
-    /// cached (interior-mutable; shared by clones made after the first
-    /// decode). The integer GEMM path calls this so reused operands — layer
-    /// weights above all — pay the decode exactly once per model.
+    /// The pre-shifted packed panel, cached per tensor (interior-mutable;
+    /// shared by clones made after it is set). [`QubCodec::encode_tensor`]
+    /// emits it alongside the bytes, so encoded operands never decode;
+    /// tensors assembled from wire bytes (a stored artifact) decode at most
+    /// once. The integer GEMM path calls this for both operands.
     ///
     /// Rank-2 panels are stored with their row stride zero-padded up to
     /// [`quq_tensor::linalg::PANEL_K_ALIGN`] elements (the widest SIMD
@@ -372,8 +596,7 @@ impl QubTensor {
             let &[rows, k] = unpadded.shape() else {
                 return Arc::new(unpadded);
             };
-            let kp = k.div_ceil(quq_tensor::linalg::PANEL_K_ALIGN.max(1))
-                * quq_tensor::linalg::PANEL_K_ALIGN;
+            let kp = padded_k(k);
             if kp == k {
                 return Arc::new(unpadded);
             }
@@ -400,6 +623,9 @@ impl QubTensor {
         self.len() * self.bits as usize
     }
 }
+
+#[cfg(test)]
+mod encode_equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -63,7 +63,7 @@ impl SpaceLayout {
     }
 
     /// Code range `[lo, hi]` for negative-side values, given payload bits `p`.
-    fn neg_code_range(&self, p: u32) -> Option<(i32, i32)> {
+    pub(crate) fn neg_code_range(&self, p: u32) -> Option<(i32, i32)> {
         match self {
             SpaceLayout::Split { .. } => Some((-(1 << (p - 1)), -1)),
             SpaceLayout::MergedNeg { .. } => Some((-(1 << p), -1)),
@@ -72,7 +72,7 @@ impl SpaceLayout {
     }
 
     /// Code range `[lo, hi]` for non-negative values, given payload bits `p`.
-    fn pos_code_range(&self, p: u32) -> Option<(i32, i32)> {
+    pub(crate) fn pos_code_range(&self, p: u32) -> Option<(i32, i32)> {
         match self {
             SpaceLayout::Split { .. } => Some((0, (1 << (p - 1)) - 1)),
             SpaceLayout::MergedPos { .. } => Some((0, (1 << p) - 1)),
@@ -140,11 +140,11 @@ impl QuqParams {
     ///   paper's QUBs are at most a byte);
     /// * any scale factor is non-positive or non-finite;
     /// * the scale factors violate Eq. 4 (each must be `2^k · Δ_base` for
-    ///   integer `k` in `0..=`[`MAX_SHIFT`]);
-    /// * no space covers zero (every tensor must be able to encode 0);
-    /// * both spaces are merged to *different* signs than Mode D describes
-    ///   is fine, but both merged to the same side must share the side
-    ///   (Mode B).
+    ///   integer `k` in `0..=`[`MAX_SHIFT`]).
+    ///
+    /// Every combination of split and merged spaces is accepted, including
+    /// all-negative layouts (Mode B on non-positive data), where no code is
+    /// exactly zero: zero then maps to the smallest-magnitude negative code.
     pub fn new(bits: u32, fine: SpaceLayout, coarse: SpaceLayout) -> Result<Self, InvalidParams> {
         if !(2..=8).contains(&bits) {
             return Err(InvalidParams(format!("bit-width {bits} outside 2..=8")));
@@ -154,16 +154,6 @@ impl QuqParams {
             if !(d.is_finite() && d > 0.0) {
                 return Err(InvalidParams(format!("non-positive scale factor {d}")));
             }
-        }
-        // Zero must be representable: fine-pos, coarse-pos, or any split.
-        if params.fine.pos_code_range(params.payload_bits()).is_none()
-            && params
-                .coarse
-                .pos_code_range(params.payload_bits())
-                .is_none()
-        {
-            // All-negative layouts (Mode B on non-positive data) are allowed;
-            // zero then maps to the smallest-magnitude negative code.
         }
         // Eq. 4: power-of-two ratios within the 3-bit shift budget.
         let base = params.base_delta();
@@ -260,64 +250,27 @@ impl QuqParams {
     /// reconstruction error wins. Within the fine subrange this reduces to
     /// Eq. 3's membership rule (the fine grid is denser); outside it, the
     /// coarse subrange takes over; at the zero boundary of merged spaces the
-    /// zero candidate prevents snapping tiny values to `±Δ`.
+    /// zero candidate prevents snapping tiny values to `±Δ`. Values beyond
+    /// the representable range clip to the extreme codes, as infinities do;
+    /// NaN maps to the code nearest zero.
+    ///
+    /// This builds the site's constants on every call; loops inside the
+    /// crate build them once with `lanes()`, and `QubCodec` once per site.
     pub fn quantize(&self, x: f32) -> QuqCode {
-        // Non-finite inputs get defined behavior up front: NaN maps to the
-        // representable value nearest zero, infinities to the extremes.
-        if x.is_nan() {
-            return self.nearest_to_zero();
-        }
-        if x.is_infinite() {
-            return self.extreme_code(x > 0.0);
-        }
-        let p = self.payload_bits();
-        let neg = x < 0.0;
-        let pick = |space: &SpaceLayout| -> Option<(f32, (i32, i32))> {
-            if neg {
-                Some((space.neg_delta()?, space.neg_code_range(p)?))
-            } else {
-                Some((space.pos_delta()?, space.pos_code_range(p)?))
-            }
-        };
-        let mut best: Option<(QuqCode, f32, f32)> = None; // (code, err, |value|)
-        let mut consider = |code: QuqCode, value: f32| {
-            let err = (x - value).abs();
-            let mag = value.abs();
-            let better = match &best {
-                None => true,
-                // Tie-break toward the smaller magnitude (the zero side),
-                // then toward the fine space for determinism.
-                Some((bc, berr, bmag)) => {
-                    err < *berr - 1e-12
-                        || ((err - *berr).abs() <= 1e-12
-                            && (mag < *bmag || (mag == *bmag && code.fine && !bc.fine)))
-                }
-            };
-            if better {
-                best = Some((code, err, mag));
-            }
-        };
-        for (is_fine, space) in [(true, &self.fine), (false, &self.coarse)] {
-            if let Some((d, (lo, hi))) = pick(space) {
-                let c = ((x / d).round_ties_even() as i64).clamp(lo as i64, hi as i64) as i32;
-                consider(
-                    QuqCode {
-                        fine: is_fine,
-                        code: c,
-                    },
-                    c as f32 * d,
-                );
-            }
-        }
-        let zero = self.nearest_to_zero();
-        consider(zero, self.dequantize(zero));
-        best.expect("at least the zero candidate exists").0
+        self.lanes().quantize(x)
+    }
+
+    /// The branch-free element quantizer of this parameter set: the
+    /// per-site constants [`quantize`](Self::quantize) derives from the
+    /// layout, computed once.
+    pub(crate) fn lanes(&self) -> LaneQuantizer {
+        LaneQuantizer::new(self)
     }
 
     /// The code with the largest (positive) or smallest (negative)
     /// representable value; falls back to the near-zero code when the
     /// requested side is not covered.
-    fn extreme_code(&self, positive: bool) -> QuqCode {
+    pub(crate) fn extreme_code(&self, positive: bool) -> QuqCode {
         let p = self.payload_bits();
         let mut best: Option<(QuqCode, f32)> = None;
         for (is_fine, space) in [(true, &self.fine), (false, &self.coarse)] {
@@ -359,7 +312,7 @@ impl QuqParams {
     }
 
     /// The representable code closest to zero.
-    fn nearest_to_zero(&self) -> QuqCode {
+    pub(crate) fn nearest_to_zero(&self) -> QuqCode {
         let p = self.payload_bits();
         if self.fine.pos_code_range(p).is_some() {
             QuqCode {
@@ -411,7 +364,8 @@ impl QuqParams {
 
     /// Fake-quantizes a whole tensor.
     pub fn fake_quantize_tensor(&self, t: &Tensor) -> Tensor {
-        t.map(|x| self.fake_quantize(x))
+        let lanes = self.lanes();
+        t.map(|x| lanes.fake_quantize(x))
     }
 
     /// Mean squared quantization error over a sample.
@@ -419,10 +373,11 @@ impl QuqParams {
         if values.is_empty() {
             return 0.0;
         }
+        let lanes = self.lanes();
         values
             .iter()
             .map(|&v| {
-                let d = (v - self.fake_quantize(v)) as f64;
+                let d = (v - lanes.fake_quantize(v)) as f64;
                 d * d
             })
             .sum::<f64>()
@@ -529,6 +484,222 @@ impl QuqParams {
             SpaceLayout::MergedPos { delta },
             SpaceLayout::MergedNeg { delta },
         )
+    }
+}
+
+/// One side (negative or non-negative) of one encoding space as the element
+/// quantizer sees it: scale, code bounds (small integers, exact in `f32`)
+/// and whether the space covers that side at all.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Subrange {
+    delta: f32,
+    lo: f32,
+    hi: f32,
+    covered: bool,
+}
+
+impl Subrange {
+    fn new(delta: Option<f32>, range: Option<(i32, i32)>) -> Self {
+        match delta.zip(range) {
+            Some((delta, (lo, hi))) => Self {
+                delta,
+                lo: lo as f32,
+                hi: hi as f32,
+                covered: true,
+            },
+            None => Self {
+                delta: 1.0,
+                lo: 0.0,
+                hi: 0.0,
+                covered: false,
+            },
+        }
+    }
+
+    /// Lane select: `a` where `cond`, else `b`.
+    #[inline(always)]
+    fn select(cond: bool, a: Self, b: Self) -> Self {
+        Self {
+            delta: if cond { a.delta } else { b.delta },
+            lo: if cond { a.lo } else { b.lo },
+            hi: if cond { a.hi } else { b.hi },
+            covered: if cond { a.covered } else { b.covered },
+        }
+    }
+
+    /// The nearest code of this subrange to `x` (ties to even, clipped to
+    /// the code range), with its reconstruction error and magnitude.
+    #[inline(always)]
+    fn candidate(self, x: f32) -> (f32, f32, f32) {
+        let r = round_ties_even(x / self.delta);
+        // Written so a NaN quotient clamps too; NaN inputs are replaced by
+        // the final select in `LaneQuantizer::lane`.
+        let c = if r >= self.lo { r } else { self.lo };
+        let c = if c <= self.hi { c } else { self.hi };
+        let v = c * self.delta;
+        (c, (x - v).abs(), v.abs())
+    }
+}
+
+/// `q` rounded half to even, for the default rounding mode: adding and
+/// removing 1.5·2^23 leaves no fraction bits. Equals `q.round_ties_even()`
+/// for `|q| < 2^22` (up to the sign of zero); beyond that both results lie
+/// past every code bound (`|code| ≤ 2^7`), so the clamp after it yields
+/// the same code. Plain SSE2 vectorizes this; `round_ties_even` there is
+/// a libm call.
+#[inline(always)]
+fn round_ties_even(q: f32) -> f32 {
+    const SHIFTER: f32 = 12_582_912.0;
+    (q + SHIFTER) - SHIFTER
+}
+
+/// Whether a candidate with error `err` and magnitude `mag` replaces the
+/// best so far: strictly smaller error, else (within 1e-12) the smaller
+/// magnitude, then the fine space. Non-short-circuit `&`/`|` keep it a
+/// chain of lane masks.
+#[inline(always)]
+fn beats(err: f32, mag: f32, fine: bool, best_err: f32, best_mag: f32, best_fine: bool) -> bool {
+    (err < best_err - 1e-12)
+        | (((err - best_err).abs() <= 1e-12)
+            & ((mag < best_mag) | ((mag == best_mag) & fine & !best_fine)))
+}
+
+/// The branch-free element function behind [`QuqParams::quantize`] and
+/// every QUB encoder, with the per-site constants it needs.
+///
+/// [`LaneQuantizer::lane`] runs the same IEEE-754 operations for every
+/// input — per-sign division and rounding, clamping, candidate errors and
+/// the tie-break — and resolves the winner, clipping, infinities and NaN
+/// with selects instead of branches. A loop over it therefore vectorizes,
+/// and every lane width computes bit-identical codes (DESIGN.md, "Lane
+/// encoder").
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LaneQuantizer {
+    fine_neg: Subrange,
+    fine_pos: Subrange,
+    coarse_neg: Subrange,
+    coarse_pos: Subrange,
+    /// The code nearest zero (the zero candidate and the NaN result) and
+    /// its dequantized value. Codes are exact small integers in `f32`.
+    zero: Pick,
+    zero_value: f32,
+    /// Extreme codes, taken by every `x > top_at` / `x < bottom_at`.
+    top: Pick,
+    top_at: f32,
+    bottom: Pick,
+    bottom_at: f32,
+}
+
+/// A code: space flag and payload value as an `f32` integer. Two plain
+/// fields, selected one by one, so each select stays one lane mask.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pick {
+    fine: bool,
+    code: f32,
+}
+
+impl Pick {
+    /// Lane select: `a` where `cond`, else `b`.
+    #[inline(always)]
+    fn select(cond: bool, a: Self, b: Self) -> Self {
+        Self {
+            fine: if cond { a.fine } else { b.fine },
+            code: if cond { a.code } else { b.code },
+        }
+    }
+}
+
+impl LaneQuantizer {
+    fn new(params: &QuqParams) -> Self {
+        let p = params.payload_bits();
+        let neg = |s: SpaceLayout| Subrange::new(s.neg_delta(), s.neg_code_range(p));
+        let pos = |s: SpaceLayout| Subrange::new(s.pos_delta(), s.pos_code_range(p));
+        let pick = |c: QuqCode| Pick {
+            fine: c.fine,
+            code: c.code as f32,
+        };
+        let zero = params.nearest_to_zero();
+        Self {
+            fine_neg: neg(params.fine),
+            fine_pos: pos(params.fine),
+            coarse_neg: neg(params.coarse),
+            coarse_pos: pos(params.coarse),
+            zero: pick(zero),
+            zero_value: params.dequantize(zero),
+            top: pick(params.extreme_code(true)),
+            // Only +∞ lies beyond an absent or overflowed side.
+            top_at: params
+                .max_representable()
+                .map_or(f32::MAX, |m| m.min(f32::MAX)),
+            bottom: pick(params.extreme_code(false)),
+            bottom_at: params
+                .min_representable()
+                .map_or(f32::MIN, |m| m.max(f32::MIN)),
+        }
+    }
+
+    /// The element function: `x`'s code as `(fine, code)` with the code an
+    /// exact small integer in `f32`.
+    #[inline(always)]
+    pub fn lane(&self, x: f32) -> (bool, f32) {
+        let neg = x < 0.0;
+        let fine = Subrange::select(neg, self.fine_neg, self.fine_pos);
+        let coarse = Subrange::select(neg, self.coarse_neg, self.coarse_pos);
+        let (cf, ef, mf) = fine.candidate(x);
+        let (cc, ec, mc) = coarse.candidate(x);
+        // Candidates in order fine, coarse, zero; the first covered one
+        // starts as the best, each later one replaces it if it `beats` it.
+        let take_coarse = coarse.covered & (!fine.covered | beats(ec, mc, false, ef, mf, true));
+        let best_code = if take_coarse { cc } else { cf };
+        let best_err = if take_coarse { ec } else { ef };
+        let best_mag = if take_coarse { mc } else { mf };
+        let zero_err = (x - self.zero_value).abs();
+        let take_zero = !(fine.covered | coarse.covered)
+            | beats(
+                zero_err,
+                self.zero_value.abs(),
+                self.zero.fine,
+                best_err,
+                best_mag,
+                !take_coarse,
+            );
+        let mut code = Pick {
+            fine: !take_coarse,
+            code: best_code,
+        };
+        // Clipping beyond the representable range, then NaN, as selects.
+        for (take, pick) in [
+            (take_zero, self.zero),
+            (x > self.top_at, self.top),
+            (x < self.bottom_at, self.bottom),
+            (x.is_nan(), self.zero),
+        ] {
+            code = Pick::select(take, pick, code);
+        }
+        (code.fine, code.code)
+    }
+
+    /// [`lane`](Self::lane) as a [`QuqCode`].
+    #[inline(always)]
+    pub fn quantize(&self, x: f32) -> QuqCode {
+        let (fine, code) = self.lane(x);
+        QuqCode {
+            fine,
+            code: code as i32,
+        }
+    }
+
+    /// Quantize-then-dequantize of one value; equals
+    /// [`QuqParams::fake_quantize`].
+    #[inline(always)]
+    pub fn fake_quantize(&self, x: f32) -> f32 {
+        let code = self.quantize(x);
+        let space = if code.fine {
+            Subrange::select(code.code < 0, self.fine_neg, self.fine_pos)
+        } else {
+            Subrange::select(code.code < 0, self.coarse_neg, self.coarse_pos)
+        };
+        code.code as f32 * space.delta
     }
 }
 
@@ -780,6 +951,80 @@ mod tests {
         assert_eq!(p.dequantize(pos), p.max_representable().unwrap());
         let neg = p.quantize(f32::NEG_INFINITY);
         assert_eq!(p.dequantize(neg), p.min_representable().unwrap());
+    }
+
+    /// Huge finite values clip like infinities. Before the fix every
+    /// candidate's f32 error rounded to the same value and the tie-break
+    /// toward the smaller magnitude returned the zero code: `quantize(1e9)`
+    /// gave `{fine, 0}` while `quantize(+∞)` gave coarse 63 (10.08).
+    #[test]
+    fn huge_finite_values_clip_like_infinities() {
+        let p = mode_a(8);
+        let top = QuqCode {
+            fine: false,
+            code: 63,
+        };
+        assert_eq!(p.quantize(1e9), top);
+        assert_eq!(p.quantize(f32::INFINITY), top);
+        assert_eq!(p.quantize(f32::MAX), top);
+        assert_eq!(p.quantize(-1e9), p.quantize(f32::NEG_INFINITY));
+        assert_eq!(p.fake_quantize(1e9), 63.0 * 0.16);
+        // At 2 bits the old flip came near 4.2e6.
+        let p2 = mode_a(2);
+        for x in [4.2e6f32, 1e7, 1e30] {
+            assert_eq!(p2.quantize(x), p2.quantize(f32::INFINITY), "{x}");
+            assert_eq!(p2.quantize(-x), p2.quantize(f32::NEG_INFINITY), "{x}");
+        }
+    }
+
+    /// `fake_quantize` is monotone non-decreasing over the whole f32 line,
+    /// sampled at a fixed stride through the total order (−∞ … +∞), for
+    /// every mode at every bit-width.
+    #[test]
+    fn fake_quantize_is_monotone_over_all_f32() {
+        // Inverse of the total-order key: keys ascend as values ascend.
+        let value = |key: u32| {
+            f32::from_bits(if key & 0x8000_0000 != 0 {
+                key & 0x7fff_ffff
+            } else {
+                !key
+            })
+        };
+        let split = |neg, pos| SpaceLayout::Split { neg, pos };
+        let layouts = [
+            (split(0.01, 0.02), split(0.16, 0.16)),
+            (
+                SpaceLayout::MergedPos { delta: 0.01 },
+                SpaceLayout::MergedPos { delta: 0.08 },
+            ),
+            (
+                SpaceLayout::MergedNeg { delta: 0.01 },
+                SpaceLayout::MergedNeg { delta: 0.04 },
+            ),
+            (split(0.04, 0.01), SpaceLayout::MergedPos { delta: 0.08 }),
+            (split(0.01, 0.02), SpaceLayout::MergedNeg { delta: 0.32 }),
+            (
+                SpaceLayout::MergedPos { delta: 0.05 },
+                SpaceLayout::MergedNeg { delta: 0.05 },
+            ),
+        ];
+        const STRIDE: u32 = 40_009; // odd, so runs hit varied mantissas
+        for bits in 2..=8 {
+            for (fine, coarse) in layouts {
+                let p = QuqParams::new(bits, fine, coarse).unwrap();
+                let lanes = p.lanes();
+                let mut prev = f32::NEG_INFINITY;
+                for key in (0..=u32::MAX).step_by(STRIDE as usize) {
+                    let x = value(key);
+                    if x.is_nan() {
+                        continue;
+                    }
+                    let y = lanes.fake_quantize(x);
+                    assert!(y >= prev, "{p:?}: fake_quantize({x:e}) = {y} < {prev}");
+                    prev = y;
+                }
+            }
+        }
     }
 
     #[test]

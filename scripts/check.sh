@@ -20,9 +20,12 @@ echo "==> tier-2: packed-kernel proptests under a 4-worker pool"
 QUQ_THREADS=4 cargo test -q -p quq-core --test proptests
 
 echo "==> tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
-# One proptest pass per host-supported kernel ISA with the dispatch pinned.
-# `--list-isas` always reports scalar, so the portable kernel is always in
-# the matrix even on fully-featured hosts.
+# One pass per host-supported kernel ISA with the dispatch pinned: the
+# packed-GEMM proptest, the lane-encoder equivalence tests (every lane
+# width against the per-element oracle), and the golden pin of weight QUB
+# bytes and integer logits (test model in debug, ViT-S in release).
+# `--list-isas` always reports scalar, so the portable kernels are always
+# in the matrix even on fully-featured hosts.
 isas="$(cargo run --release -q -p quq-bench --bin throughput -- --list-isas)"
 case "$isas" in *scalar*) ;; *)
     echo "kernel matrix: scalar ISA missing from --list-isas" >&2; exit 1;;
@@ -31,7 +34,29 @@ for isa in $isas; do
     echo "    ISA: $isa"
     QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --test proptests \
         packed_matmul_matches_reference_bitwise
+    QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --lib encode_equivalence
+    QUQ_FORCE_ISA="$isa" cargo test -q -p quq-accel --test golden_pin
+    QUQ_FORCE_ISA="$isa" cargo test --release -q -p quq-accel --test golden_pin -- --ignored
 done
+
+echo "==> tier-2: perfbench self-tests and a traced offline-int smoke"
+cargo test -q --manifest-path perfbench/Cargo.toml
+# perfbench checks every image's logits against a serial forward and exits
+# non-zero on any mismatch; the last stdout line is its JSON summary.
+perf_line=$(cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload offline-int --seed 1 --seconds 5 --trace 1 | tail -n 1)
+python3 - "$perf_line" <<'PY'
+import json, sys
+
+summary = json.loads(sys.argv[1])
+assert summary["correct"] is True and summary["failed"] == 0, summary
+m = summary["metrics"]
+# Activations are encoded straight to their packed panels / SFU integers:
+# no per-image decode table is built.
+assert m["core.lut_builds"]["value"] == 0, m["core.lut_builds"]
+print(f"perfbench smoke: {summary['attempted']} images bit-identical, "
+      f"encode share {m['core.encode_share']['value']:.2f}, no LUT builds")
+PY
 
 echo "==> tier-2: batched-forward bit-identity under a 4-worker pool"
 QUQ_THREADS=4 cargo test -q -p quq-vit --test proptests
