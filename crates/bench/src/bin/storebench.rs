@@ -42,8 +42,10 @@
 //! model `"b"`, alternates inferences between the default model and `"b"`
 //! asserting each stays bit-identical to its artifact's own forward
 //! (forcing eviction churn when the budget fits only one model), checks
-//! `LIST` reports at least one eviction, then `UNLOAD`s `"b"` and asserts
-//! it is gone — the multi-model smoke gate in `scripts/check.sh`.
+//! `LIST` reports at least one eviction, `UNLOAD`s `"b"` and asserts it
+//! is gone, then hot-swaps the default model by `LOAD`ing the second
+//! artifact under the default name and asserts the default now answers
+//! with its logits — the multi-model smoke gate in `scripts/check.sh`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -51,7 +53,7 @@ use std::time::Instant;
 
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::quantizer::QuqMethod;
-use quq_serve::{artifact_state, Client, InferResponse, ModelState};
+use quq_serve::{artifact_state, Client, InferResponse, ModelState, DEFAULT_MODEL};
 use quq_store::{Artifact, ArtifactWriter, ChunkKind, CodecChoice, CodecStack, WriteOptions};
 use quq_tensor::Tensor;
 use quq_vit::{Backend, Dataset, Fp32Backend, ModelConfig, ModelId, VitModel};
@@ -572,8 +574,20 @@ fn run_probe_multi(addr: &str, artifact: &str, artifact_b: &str) -> ExitCode {
         Err(e) => fail!("probe-multi: default after UNLOAD failed: {e}"),
     }
 
+    // Hot swap: a LOAD under the default name replaces the default model.
+    match client.load(DEFAULT_MODEL, artifact_b) {
+        Ok(InferResponse::Reloaded) => {}
+        Ok(other) => fail!("probe-multi: LOAD default: unexpected response {other:?}"),
+        Err(e) => fail!("probe-multi: LOAD default failed: {e}"),
+    }
+    match client.infer(&img) {
+        Ok(InferResponse::Ok { logits, .. }) if logits == expect_b => {}
+        Ok(other) => fail!("probe-multi: default after the swap: {other:?}"),
+        Err(e) => fail!("probe-multi: default after the swap failed: {e}"),
+    }
+
     println!(
-        "probe-multi: LOAD/LIST/UNLOAD ok; both models bit-identical across {} evictions, {} loads",
+        "probe-multi: LOAD/LIST/UNLOAD/swap ok; both models bit-identical across {} evictions, {} loads",
         snap.evictions, snap.loads
     );
     ExitCode::SUCCESS

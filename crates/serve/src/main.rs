@@ -31,8 +31,6 @@
 //!   `v1` writes the legacy raw-only format
 //! * `--addr HOST:PORT`   — bind address (default `127.0.0.1:7878`; port 0 = ephemeral)
 //! * `--workers N` `--max-batch N` `--max-wait-us N` `--queue N` — tuning
-//! * `--frontend event-loop|thread-per-conn` — connection front end
-//!   (default `event-loop`; `thread-per-conn` is the legacy baseline)
 //! * `--reactors N`       — event-loop reactor threads (default 1)
 //! * `--tenant-quota RATE[:BURST]` — per-tenant token-bucket quota in
 //!   requests/second (optional burst size, default `max(RATE, 1)`);
@@ -52,11 +50,11 @@
 //! violations exit with a clear error instead of hanging deep in the
 //! scheduler.
 //!
-//! A running server also accepts the admin `RELOAD`, `LOAD`, `UNLOAD`,
-//! `LIST`, and `SHADOW` protocol messages ([`quq_serve::Client::reload`],
-//! [`quq_serve::Client::load`], [`quq_serve::Client::shadow_set`], …):
-//! models can be hot-swapped, registered, dropped, and canaried without
-//! dropping in-flight requests.
+//! A running server also accepts the admin `LOAD`, `UNLOAD`, `LIST`, and
+//! `SHADOW` protocol messages ([`quq_serve::Client::load`],
+//! [`quq_serve::Client::shadow_set`], …): models can be registered,
+//! dropped, and canaried without dropping in-flight requests, and a
+//! `LOAD` of the default model hot-swaps it.
 
 use std::io::BufRead;
 use std::path::Path;
@@ -66,9 +64,7 @@ use std::time::{Duration, Instant};
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::QuqMethod;
 use quq_serve::server::artifact_state;
-use quq_serve::{
-    BackendProvider, Fp32Provider, Frontend, IntegerProvider, ModelState, ServeConfig, Server,
-};
+use quq_serve::{BackendProvider, Fp32Provider, IntegerProvider, ModelState, ServeConfig, Server};
 use quq_store::{ArtifactWriter, CodecChoice, CodecStack, WriteOptions};
 use quq_vit::{Dataset, ModelConfig, ModelId, VitModel};
 
@@ -216,11 +212,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             2000,
         )?),
         queue_capacity: parse_positive("--queue", arg_value("--queue"), 64)? as usize,
-        frontend: match arg_value("--frontend").as_deref() {
-            None | Some("event-loop") => Frontend::EventLoop,
-            Some("thread-per-conn") => Frontend::ThreadPerConn,
-            Some(other) => return Err(format!("unknown --frontend {other}").into()),
-        },
         reactors: parse_positive("--reactors", arg_value("--reactors"), 1)? as usize,
         max_resident_bytes: parse_resident_bytes(arg_value("--max-resident-bytes"))?,
         tenant_rate,

@@ -1,23 +1,19 @@
-//! The readiness-driven event-loop front end: one (or a few) reactor
-//! threads own *all* client sockets behind an epoll [`Poller`], replacing
-//! the thread-per-connection blocking front end at scale.
+//! The server's front end: one (or a few) reactor threads own *all*
+//! client sockets behind an epoll [`Poller`].
 //!
-//! ## Why an event loop fixes the framing desync
+//! ## Framing
 //!
-//! The blocking front end read frames with a stateless `read_frame` under
-//! a poll-interval read timeout; a timeout that fired after part of a
-//! frame had been consumed silently dropped those bytes, desyncing the
-//! connection forever. Here every connection owns a
-//! [`FrameDecoder`](crate::framing::FrameDecoder) that *retains* partial
-//! bytes across readiness events — "no bytes right now" is simply the
-//! absence of an event, never an error that can shear a frame. The bug is
-//! eliminated by construction rather than by tuning timeouts.
+//! Every connection owns a [`FrameDecoder`](crate::framing::FrameDecoder)
+//! that *retains* partial bytes across readiness events — "no bytes right
+//! now" is simply the absence of an event, never an error that can shear
+//! a frame. A slow client that dribbles a request over many reads (even
+//! splitting the 4-byte length prefix) is reassembled byte-for-byte.
 //!
 //! ## Shape
 //!
 //! ```text
 //!                 ┌────────────── reactor thread ──────────────┐
-//! accept ─▶ conns │ epoll wait ─▶ read ─▶ FrameDecoder ─▶ push │──▶ BatchQueue
+//! accept ─▶ conns │ epoll wait ─▶ read ─▶ FrameDecoder ─▶ push │──▶ Scheduler
 //!                 │     ▲                                      │      │
 //!                 │   waker ◀── completions (id-tagged) ◀──────│◀─ workers
 //!                 │     └──▶ WriteBuf ─▶ non-blocking write    │  forward_batch
@@ -25,13 +21,14 @@
 //! ```
 //!
 //! Requests are tagged with a per-request id
-//! ([`crate::protocol::PROTOCOL_VERSION`] 4), so one connection may keep
+//! ([`crate::protocol::PROTOCOL_VERSION`] 5), so one connection may keep
 //! many requests in flight and receive responses out of order — whichever
 //! micro-batch finishes first replies first. Decoded requests enter the
 //! bounded SLO-aware [`Scheduler`](crate::sched::Scheduler): admission
 //! control (shed with `OVERLOADED`, or displace a lower-standing queued
 //! request), class/tenant-fair micro-batching, drain on shutdown, and the
-//! `RELOAD`/`LOAD`/`UNLOAD`/`LIST`/`SHADOW` admin paths.
+//! `LOAD`/`UNLOAD`/`LIST`/`SHADOW` admin paths ([`handle_frame`] is the
+//! one dispatcher).
 //!
 //! ## Write-backlog backpressure
 //!
@@ -59,20 +56,20 @@ use std::time::{Duration, Instant};
 
 use quq_obs::SiteKey;
 
-use crate::batcher::PushError;
 use crate::framing::{FrameDecoder, WriteBuf};
 use crate::poller::{Event, Interest, Poller, Waker};
 use crate::protocol::{
-    decode_infer_request, decode_load_request, decode_reload_request, decode_shadow_request,
-    decode_unload_request, encode_error_response, encode_list_response, encode_status_response,
-    request_id, tag_response, OP_INFER, OP_LIST, OP_LOAD, OP_RELOAD, OP_SHADOW, OP_UNLOAD,
-    STATUS_DRAINING, STATUS_OVERLOADED, STATUS_RELOADED, STATUS_UNLOADED,
+    decode_infer_request, decode_load_request, decode_shadow_request, decode_unload_request,
+    encode_error_response, encode_list_response, encode_status_response, request_id, tag_response,
+    OP_INFER, OP_LIST, OP_LOAD, OP_SHADOW, OP_UNLOAD, STATUS_DRAINING, STATUS_OVERLOADED,
+    STATUS_RELOADED, STATUS_UNLOADED,
 };
 use crate::registry::{resolve_name, Admit};
+use crate::sched::PushError;
 use crate::server::{answer_displaced, flow_label, shadow_command, Job, Reply, Shared};
 
-/// Metrics site for admin operations (RELOAD/LOAD), which run on a
-/// side thread rather than a backend worker.
+/// Metrics site for LOAD, which runs on a side thread rather than a
+/// backend worker.
 const ADMIN_SITE: &str = "admin";
 
 /// Poller token of the (reactor-0-owned) listener.
@@ -91,8 +88,8 @@ const MAX_READS_PER_TICK: usize = 16;
 /// to slow readers before giving up and closing.
 const FINAL_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 
-/// One finished request travelling back from a worker (or the reload
-/// thread) to the reactor that owns its connection.
+/// One finished request travelling back from a worker (or a LOAD thread)
+/// to the reactor that owns its connection.
 pub(crate) struct Completion {
     /// Token of the owning connection.
     pub token: u64,
@@ -134,7 +131,7 @@ struct Conn {
     out: WriteBuf,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// Requests admitted (or reloading) whose response has not yet come
+    /// Requests admitted (or loading) whose response has not yet come
     /// back from a worker.
     inflight: usize,
     /// The peer shut its write side; serve what's in flight, then close.
@@ -551,11 +548,12 @@ impl Reactor {
     }
 }
 
-/// Dispatches one decoded frame on `conn`: admission for INFER, a
-/// side-thread for RELOAD/LOAD (artifact loads must never stall the
-/// reactor), inline answers for UNLOAD/LIST, structured errors for
-/// everything else. All replies are id-tagged; failure to decode an id
-/// tags with 0.
+/// Dispatches one decoded frame on `conn` — the server's one dispatcher:
+/// admission for INFER, a side-thread for LOAD (artifact loads must never
+/// stall the reactor), inline answers for UNLOAD/LIST/SHADOW, and an
+/// `ERROR` for everything else, including the retired opcode 2. Every
+/// reply is tagged with the frame's id (0 when it is too short to carry
+/// one).
 fn handle_frame(
     shared: &Arc<Shared>,
     comp: &CompletionSender,
@@ -563,206 +561,152 @@ fn handle_frame(
     conn: &mut Conn,
     frame: &[u8],
 ) {
-    match frame.first() {
-        Some(&OP_INFER) => {
-            let t0 = Instant::now();
-            let (id, meta, model, image) = match decode_infer_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
-            let name = resolve_name(&model);
-            let site: &'static str = match shared.registry.admit(name) {
-                Admit::Unknown => {
-                    let msg = format!("unknown model {name:?}");
-                    conn.out
-                        .enqueue_frame(&tag_response(id, &encode_error_response(&msg)));
-                    return;
-                }
-                Admit::Resident(state) => {
-                    // Validate the shape up front so one malformed request
-                    // can never fail a whole batch inside the worker.
-                    let cfg = state.model.config();
-                    let want = [cfg.in_chans, cfg.img_size, cfg.img_size];
-                    if image.shape() != want {
-                        let msg = format!("expected image shape {want:?}, got {:?}", image.shape());
-                        conn.out
-                            .enqueue_frame(&tag_response(id, &encode_error_response(&msg)));
-                        return;
-                    }
-                    state.provider.name()
-                }
-                // Evicted model: a worker lazily reloads it and validates
-                // the shape there.
-                Admit::Cold => "cold-start",
-            };
-            let flow = flow_label(meta.class, &meta.tenant);
-            let deadline = (meta.deadline_us > 0)
-                .then(|| t0 + Duration::from_micros(u64::from(meta.deadline_us)));
-            let job = Job {
-                model: name.to_string(),
-                image,
-                reply: Reply::reactor(comp.clone(), token, id, t0, site, flow),
-            };
-            match shared.queue.push(job, meta.class, &meta.tenant, deadline) {
-                Ok(admission) => {
-                    conn.inflight += 1;
-                    quq_obs::add("serve.accepted", 1);
-                    quq_obs::record_at(
-                        "serve.queue_depth",
-                        || SiteKey::global(site),
-                        admission.depth as u64,
-                    );
-                    // A displaced lower-standing request is answered
-                    // OVERLOADED through its own Reply, which routes the
-                    // completion back to whichever reactor/connection owns
-                    // it (and decrements that connection's inflight).
-                    if let Some(victim) = admission.displaced {
-                        answer_displaced(victim);
-                    }
-                }
-                Err(PushError::Full(job)) => {
-                    // The front end answers; the bounced job's Reply must
-                    // not ALSO answer as it drops.
-                    job.reply.forget();
-                    quq_obs::add("serve.shed", 1);
-                    conn.out.enqueue_frame(&tag_response(
-                        id,
-                        &encode_status_response(STATUS_OVERLOADED),
-                    ));
-                }
-                Err(PushError::Draining(job)) => {
-                    job.reply.forget();
-                    conn.out
-                        .enqueue_frame(&tag_response(id, &encode_status_response(STATUS_DRAINING)));
-                    conn.close_after_flush = true;
-                }
+    let id = request_id(frame);
+    let malformed = |e: io::Error| encode_error_response(&e.to_string());
+    let body = match frame.first() {
+        Some(&OP_INFER) => admit_infer(shared, comp, token, conn, frame),
+        // All SHADOW actions are cheap (registry metadata + counter reads;
+        // PROMOTE copies one registry entry): answer inline.
+        Some(&OP_SHADOW) => Some(match decode_shadow_request(frame) {
+            Ok((_, cmd)) => {
+                shadow_command(shared, cmd).unwrap_or_else(|msg| encode_error_response(&msg))
             }
-        }
-        Some(&OP_SHADOW) => {
-            // All SHADOW actions are cheap (registry metadata + counter
-            // reads; PROMOTE copies one registry entry): answer inline.
-            let body = match decode_shadow_request(frame) {
-                Ok((_, cmd)) => {
-                    shadow_command(shared, cmd).unwrap_or_else(|msg| encode_error_response(&msg))
-                }
-                Err(e) => encode_error_response(&e.to_string()),
-            };
-            conn.out
-                .enqueue_frame(&tag_response(request_id(frame), &body));
-        }
-        Some(&OP_RELOAD) => {
-            let t0 = Instant::now();
-            let (id, path) = match decode_reload_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
-            // The artifact open/verify/load can take tens of milliseconds
-            // (or seconds for a big model) — never stall the reactor for
-            // it. A one-off thread does the load and swap, then answers
-            // through the normal completion path.
-            conn.inflight += 1;
-            let shared = Arc::clone(shared);
-            let comp = comp.clone();
-            std::thread::Builder::new()
-                .name("quq-serve-reload".into())
-                .spawn(move || {
-                    let body = match shared.registry.reload_default(Path::new(&path)) {
-                        Ok(()) => {
-                            quq_obs::add("serve.reloads", 1);
-                            encode_status_response(STATUS_RELOADED)
-                        }
-                        Err(e) => {
-                            quq_obs::add("serve.reload_failures", 1);
-                            encode_error_response(&format!("reload of {path:?} failed: {e}"))
-                        }
-                    };
-                    comp.send(Completion {
-                        token,
-                        id,
-                        body,
-                        t0,
-                        site: ADMIN_SITE,
-                        flow: String::new(),
-                    });
-                })
-                .expect("spawn reload thread");
-        }
-        Some(&OP_LOAD) => {
-            let t0 = Instant::now();
-            let (id, name, path) = match decode_load_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
-            // Same shape as RELOAD: the artifact load runs on a one-off
-            // thread and answers through the completion path.
-            conn.inflight += 1;
-            let shared = Arc::clone(shared);
-            let comp = comp.clone();
-            std::thread::Builder::new()
-                .name("quq-serve-load".into())
-                .spawn(move || {
-                    let backend = shared.registry.default_backend();
-                    let body =
-                        match shared
-                            .registry
-                            .load(resolve_name(&name), Path::new(&path), &backend)
-                        {
-                            Ok(()) => encode_status_response(STATUS_RELOADED),
-                            Err(msg) => encode_error_response(&msg),
-                        };
-                    comp.send(Completion {
-                        token,
-                        id,
-                        body,
-                        t0,
-                        site: ADMIN_SITE,
-                        flow: String::new(),
-                    });
-                })
-                .expect("spawn load thread");
-        }
-        Some(&OP_UNLOAD) => {
-            let (id, name) = match decode_unload_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
-            let body = if shared.registry.unload(resolve_name(&name)) {
+            Err(e) => malformed(e),
+        }),
+        Some(&OP_LOAD) => match decode_load_request(frame) {
+            Ok((_, name, path)) => {
+                conn.inflight += 1;
+                spawn_load(shared, comp, token, id, name, path);
+                None
+            }
+            Err(e) => Some(malformed(e)),
+        },
+        Some(&OP_UNLOAD) => Some(match decode_unload_request(frame) {
+            Ok((_, name)) if shared.registry.unload(resolve_name(&name)) => {
                 encode_status_response(STATUS_UNLOADED)
-            } else {
-                encode_error_response(&format!("unknown model {name:?}"))
-            };
-            conn.out.enqueue_frame(&tag_response(id, &body));
+            }
+            Ok((_, name)) => encode_error_response(&format!("unknown model {name:?}")),
+            Err(e) => malformed(e),
+        }),
+        Some(&OP_LIST) => Some(encode_list_response(&shared.registry.snapshot())),
+        _ => Some(encode_error_response("unknown opcode")),
+    };
+    if let Some(body) = body {
+        conn.out.enqueue_frame(&tag_response(id, &body));
+    }
+}
+
+/// Decodes one INFER frame and admits it into the scheduler. Returns the
+/// body to answer with right away (malformed, unknown model, bad shape,
+/// shed, draining), or `None` once the request is queued and a worker
+/// owns its reply.
+fn admit_infer(
+    shared: &Shared,
+    comp: &CompletionSender,
+    token: u64,
+    conn: &mut Conn,
+    frame: &[u8],
+) -> Option<Vec<u8>> {
+    let t0 = Instant::now();
+    let (id, meta, model, image) = match decode_infer_request(frame) {
+        Ok(request) => request,
+        Err(e) => return Some(encode_error_response(&e.to_string())),
+    };
+    let name = resolve_name(&model);
+    let site: &'static str = match shared.registry.admit(name) {
+        Admit::Unknown => return Some(encode_error_response(&format!("unknown model {name:?}"))),
+        Admit::Resident(state) => {
+            // Validate the shape up front so one malformed request can
+            // never fail a whole batch inside the worker.
+            let cfg = state.model.config();
+            let want = [cfg.in_chans, cfg.img_size, cfg.img_size];
+            if image.shape() != want {
+                let msg = format!("expected image shape {want:?}, got {:?}", image.shape());
+                return Some(encode_error_response(&msg));
+            }
+            state.provider.name()
         }
-        Some(&OP_LIST) => {
-            let body = encode_list_response(&shared.registry.snapshot());
-            conn.out
-                .enqueue_frame(&tag_response(request_id(frame), &body));
+        // Evicted model: a worker lazily reloads it and validates the
+        // shape there.
+        Admit::Cold => "cold-start",
+    };
+    let flow = flow_label(meta.class, &meta.tenant);
+    let deadline =
+        (meta.deadline_us > 0).then(|| t0 + Duration::from_micros(u64::from(meta.deadline_us)));
+    let job = Job {
+        model: name.to_string(),
+        image,
+        reply: Reply::new(comp.clone(), token, id, t0, site, flow),
+    };
+    match shared.queue.push(job, meta.class, &meta.tenant, deadline) {
+        Ok(admission) => {
+            conn.inflight += 1;
+            quq_obs::add("serve.accepted", 1);
+            quq_obs::record_at(
+                "serve.queue_depth",
+                || SiteKey::global(site),
+                admission.depth as u64,
+            );
+            // A displaced lower-standing request is answered OVERLOADED
+            // through its own Reply, which routes the completion back to
+            // whichever reactor/connection owns it (and decrements that
+            // connection's inflight).
+            if let Some(victim) = admission.displaced {
+                answer_displaced(victim);
+            }
+            None
         }
-        _ => {
-            conn.out.enqueue_frame(&tag_response(
-                request_id(frame),
-                &encode_error_response("unknown opcode"),
-            ));
+        Err(PushError::Full(job)) => {
+            // The front end answers; the bounced job's Reply must not
+            // ALSO answer as it drops.
+            job.reply.forget();
+            quq_obs::add("serve.shed", 1);
+            Some(encode_status_response(STATUS_OVERLOADED))
+        }
+        Err(PushError::Draining(job)) => {
+            job.reply.forget();
+            conn.close_after_flush = true;
+            Some(encode_status_response(STATUS_DRAINING))
         }
     }
+}
+
+/// Runs one LOAD on a one-off thread and answers through the completion
+/// path. The artifact open/verify/load can take tens of milliseconds (or
+/// seconds for a big model), so it never runs on the reactor. A LOAD of
+/// the default model is the hot swap: in-flight batches finish on the
+/// model they started on, and a failed load leaves the served model as
+/// it was.
+fn spawn_load(
+    shared: &Arc<Shared>,
+    comp: &CompletionSender,
+    token: u64,
+    id: u32,
+    name: String,
+    path: String,
+) {
+    let t0 = Instant::now();
+    let shared = Arc::clone(shared);
+    let comp = comp.clone();
+    std::thread::Builder::new()
+        .name("quq-serve-load".into())
+        .spawn(move || {
+            let backend = shared.registry.default_backend();
+            let body = match shared
+                .registry
+                .load(resolve_name(&name), Path::new(&path), &backend)
+            {
+                Ok(()) => encode_status_response(STATUS_RELOADED),
+                Err(msg) => encode_error_response(&msg),
+            };
+            comp.send(Completion {
+                token,
+                id,
+                body,
+                t0,
+                site: ADMIN_SITE,
+                flow: String::new(),
+            });
+        })
+        .expect("spawn load thread");
 }

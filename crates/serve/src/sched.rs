@@ -1,10 +1,10 @@
 //! The SLO-aware request scheduler: priority classes, per-tenant fair
 //! queuing, token-bucket quotas, and deadline-aware batch flushing.
 //!
-//! [`Scheduler`] replaces the flat [`BatchQueue`](crate::batcher::BatchQueue)
-//! as the server's admission queue (the generic FIFO batcher survives as a
-//! standalone primitive). Where `BatchQueue` treats every request
-//! identically, the scheduler makes four policy decisions:
+//! [`Scheduler`] is the server's one admission queue: bounded (a full
+//! queue sheds, [`PushError::Full`]), drained for shutdown
+//! ([`PushError::Draining`]), and micro-batching. On top of that it
+//! makes four policy decisions:
 //!
 //! * **Class ordering** — every request carries a [`Class`]:
 //!   `interactive` requests are *strictly* dequeued before `batch`
@@ -31,9 +31,9 @@
 //!
 //! ## Deadline-aware flushing
 //!
-//! [`Scheduler::next_batch`] keeps `BatchQueue`'s two-phase shape (wait
-//! indefinitely for the first request, then batch within a `max_wait`
-//! window) with one addition: if any queued request's deadline would
+//! [`Scheduler::next_batch`] has a two-phase shape (wait indefinitely
+//! for the first request, then batch within a `max_wait` window, cut
+//! short at `max_batch`) with one addition: if any queued request's deadline would
 //! expire before the window closes, the batch is flushed early — at
 //! `deadline − deadline_slack` — so the request still makes it through
 //! compute. A request whose deadline has *already* passed at pickup is
@@ -53,7 +53,6 @@ use std::time::{Duration, Instant};
 
 use quq_obs::SiteKey;
 
-use crate::batcher::PushError;
 use crate::protocol::Class;
 
 /// Tenant name requests fall back to when they carry none.
@@ -63,6 +62,16 @@ pub const ANON_TENANT: &str = "anon";
 /// that are full (fully refilled) and have no queued requests are pruned,
 /// so a hostile client inventing tenant names cannot grow server memory.
 const MAX_TENANT_BUCKETS: usize = 1024;
+
+/// Why a [`Scheduler::push`] was refused; the item comes back to the
+/// caller either way.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The queue is at capacity — shed the request (backpressure).
+    Full(T),
+    /// The queue is draining for shutdown — no new admissions.
+    Draining(T),
+}
 
 /// Scheduler policy knobs.
 #[derive(Debug, Clone)]
@@ -179,9 +188,8 @@ struct State<T> {
     draining: bool,
 }
 
-/// The SLO-aware admission queue (see module docs). Same concurrency
-/// contract as `BatchQueue`: any number of producers call `push`, any
-/// number of consumers call `next_batch`; a request is delivered to
+/// The SLO-aware admission queue (see module docs). Any number of
+/// producers call `push`, any number of consumers call `next_batch`; a request is delivered to
 /// exactly one consumer or returned to exactly one caller, never both.
 pub struct Scheduler<T> {
     state: Mutex<State<T>>,
@@ -546,6 +554,101 @@ mod tests {
         b.jobs.into_iter().map(|a| a.item).collect()
     }
 
+    const LONG: Duration = Duration::from_secs(5);
+
+    /// Admits `item` as an anonymous, deadline-free interactive request.
+    fn admit(q: &Scheduler<u32>, item: u32) {
+        q.push(item, Class::Interactive, "", None).unwrap();
+    }
+
+    #[test]
+    fn size_trigger_flushes_without_waiting_out_max_wait() {
+        let q = sched(16);
+        (0..4).for_each(|i| admit(&q, i));
+        let t0 = Instant::now();
+        assert_eq!(jobs_of(q.next_batch(4, LONG).unwrap()), vec![0, 1, 2, 3]);
+        assert!(t0.elapsed() < Duration::from_secs(1), "a full batch waited");
+    }
+
+    #[test]
+    fn max_wait_flushes_a_partial_batch() {
+        let q = sched(16);
+        admit(&q, 7);
+        let t0 = Instant::now();
+        let batch = q.next_batch(4, Duration::from_millis(30)).unwrap();
+        assert_eq!(jobs_of(batch), vec![7]);
+        let waited = t0.elapsed();
+        assert!(waited >= Duration::from_millis(25), "waited {waited:?}");
+        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+    }
+
+    #[test]
+    fn items_beyond_max_batch_stay_queued() {
+        let q = sched(16);
+        (0..6).for_each(|i| admit(&q, i));
+        assert_eq!(jobs_of(q.next_batch(4, LONG).unwrap()), vec![0, 1, 2, 3]);
+        assert_eq!(q.len(), 2);
+        assert_eq!(jobs_of(q.next_batch(4, LONG).unwrap()), vec![4, 5]);
+    }
+
+    #[test]
+    fn full_queue_sheds_then_admits_after_a_pop() {
+        let q = sched(2);
+        admit(&q, 1);
+        admit(&q, 2);
+        match q.push(3, Class::Interactive, "", None) {
+            Err(PushError::Full(item)) => assert_eq!(item, 3),
+            _ => panic!("expected Full"),
+        }
+        // Shedding is stateless: after a pop the queue admits again.
+        q.next_batch(1, Duration::ZERO).unwrap();
+        admit(&q, 3);
+    }
+
+    #[test]
+    fn drain_wakes_a_blocked_consumer() {
+        let q = Arc::new(sched(4));
+        let q2 = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || q2.next_batch(4, LONG).is_none());
+        std::thread::sleep(Duration::from_millis(20)); // let it block in phase 1
+        q.drain();
+        assert!(
+            consumer.join().unwrap(),
+            "drained + empty releases the consumer"
+        );
+    }
+
+    /// Consumer A parks in the batching window holding the only request's
+    /// scent; consumer B steals the request; A's window then closes on an
+    /// empty queue. Returns A's thread once that has happened.
+    fn raced_consumer(q: &Arc<Scheduler<u32>>) -> std::thread::JoinHandle<Option<Vec<u32>>> {
+        admit(q, 1);
+        let qa = Arc::clone(q);
+        let a =
+            std::thread::spawn(move || qa.next_batch(2, Duration::from_millis(100)).map(jobs_of));
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(jobs_of(q.next_batch(1, Duration::ZERO).unwrap()), vec![1]);
+        std::thread::sleep(Duration::from_millis(150));
+        a
+    }
+
+    #[test]
+    fn raced_consumer_never_yields_an_empty_batch() {
+        let q = Arc::new(sched(8));
+        let a = raced_consumer(&q);
+        assert!(!a.is_finished(), "A must keep waiting, not return empty");
+        admit(&q, 2); // new work releases A with a real batch
+        assert_eq!(a.join().unwrap(), Some(vec![2]));
+    }
+
+    #[test]
+    fn raced_consumer_exits_on_drain_instead_of_returning_empty() {
+        let q = Arc::new(sched(8));
+        let a = raced_consumer(&q);
+        q.drain();
+        assert_eq!(a.join().unwrap(), None, "drained + empty releases A");
+    }
+
     #[test]
     fn interactive_is_dequeued_strictly_before_batch() {
         let q = sched(16);
@@ -686,6 +789,80 @@ mod tests {
         let got = jobs_of(q.next_batch(8, Duration::from_secs(10)).unwrap());
         assert_eq!(got, vec![1]);
         assert!(q.next_batch(8, Duration::from_secs(10)).is_none());
+    }
+
+    #[test]
+    fn drain_flushes_queued_items_then_releases_consumers() {
+        let q = sched(16);
+        admit(&q, 1);
+        admit(&q, 2);
+        q.drain();
+        // Queued items still come out, in order and without waiting out
+        // max_wait.
+        let t0 = Instant::now();
+        assert_eq!(jobs_of(q.next_batch(8, LONG).unwrap()), vec![1, 2]);
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        // Then consumers are released.
+        assert!(q.next_batch(8, LONG).is_none());
+        // And new pushes are refused with the item handed back.
+        match q.push(9, Class::Batch, "", None) {
+            Err(PushError::Draining(item)) => assert_eq!(item, 9),
+            _ => panic!("expected Draining"),
+        }
+    }
+
+    #[test]
+    fn concurrent_producers_and_consumers_lose_nothing() {
+        // Producers retry on Full, so every item is admitted; the consumers
+        // must then hand back exactly the set that was pushed.
+        let q = Arc::new(sched(64));
+        const PER_PRODUCER: u32 = 100;
+        let producers: Vec<_> = (0..3u32)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        let mut item = p * 1000 + i;
+                        loop {
+                            match q.push(item, Class::Interactive, "", None) {
+                                Ok(_) => break,
+                                Err(PushError::Full(it)) => {
+                                    item = it;
+                                    std::thread::yield_now();
+                                }
+                                Err(PushError::Draining(_)) => panic!("drained early"),
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(batch) = q.next_batch(7, Duration::from_millis(5)) {
+                        got.extend(jobs_of(batch));
+                    }
+                    got
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        q.drain();
+        let mut all: Vec<u32> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        let mut expect: Vec<u32> = (0..3u32)
+            .flat_map(|p| (0..PER_PRODUCER).map(move |i| p * 1000 + i))
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(all, expect, "every admitted item is delivered exactly once");
     }
 
     #[test]
